@@ -37,8 +37,8 @@ use crate::table::Table;
 /// one claim counter, not 3125 queued closures.
 const SLICE: u64 = 32;
 
-/// Upper bound on `--campaign-size`: beyond this even the widened kernels
-/// need days, so larger requests are almost certainly typos.
+/// Upper bound on `--campaign-size`: beyond this a campaign needs days, so
+/// larger requests are almost certainly typos.
 pub const MAX_CAMPAIGN_SCHEDULES: u64 = 10_000_000;
 
 /// Upper bound on `--stride` (events between oracle checks): strides past
@@ -56,7 +56,7 @@ pub fn validate_campaign_size(schedules: u64) -> Result<u64, String> {
     } else if schedules > MAX_CAMPAIGN_SCHEDULES {
         Err(format!(
             "--campaign-size {schedules} exceeds the supported limit {MAX_CAMPAIGN_SCHEDULES} \
-             (larger campaigns take days even at wide-kernel throughput); \
+             (larger campaigns take days to run); \
              valid range is 1..={MAX_CAMPAIGN_SCHEDULES}"
         ))
     } else {

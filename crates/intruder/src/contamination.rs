@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use hypersweep_topology::{wide, Node, NodeSet, Topology};
+use hypersweep_topology::{Node, NodeSet, Topology};
 
 use hypersweep_sim::{Event, EventKind};
 
@@ -44,6 +44,40 @@ fn reset_set(set: &mut NodeSet, n: usize) {
     } else {
         *set = NodeSet::new(n);
     }
+}
+
+/// One wave of an accumulating flood: `next &= !acc & !blocked; acc |=
+/// next`. Returns whether any bit survived (the flood grew).
+///
+/// This is the fused inner step of both hypercube wave floods: contiguity
+/// BFS (`acc` = reached, `blocked` = contaminated) and the adversarial
+/// spread cascade (`acc` = contaminated, `blocked` = guarded).
+fn flood_step(next: &mut [u64], acc: &mut [u64], blocked: &[u64]) -> bool {
+    assert_eq!(next.len(), acc.len(), "word-slice length mismatch");
+    assert_eq!(next.len(), blocked.len(), "word-slice length mismatch");
+    let mut grew = false;
+    for ((nw, aw), &bw) in next.iter_mut().zip(acc.iter_mut()).zip(blocked) {
+        *nw &= !*aw & !bw;
+        *aw |= *nw;
+        grew |= *nw != 0;
+    }
+    grew
+}
+
+/// Non-accumulating wave mask: `next &= !a & !b`. Returns whether any bit
+/// survived. Used by the `SafeForest` rebuild flood (which must visit the
+/// fresh wave per-node before folding it into `reached`) and by the
+/// whole-field unguarded-frontier scan (`a` = contaminated, `b` =
+/// guarded).
+fn mask_clear2(next: &mut [u64], a: &[u64], b: &[u64]) -> bool {
+    assert_eq!(next.len(), a.len(), "word-slice length mismatch");
+    assert_eq!(next.len(), b.len(), "word-slice length mismatch");
+    let mut grew = false;
+    for ((nw, &aw), &bw) in next.iter_mut().zip(a).zip(b) {
+        *nw &= !aw & !bw;
+        grew |= *nw != 0;
+    }
+    grew
 }
 
 /// Ground-truth node states during a search.
@@ -393,7 +427,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
         frontier.insert(self.homebase);
         loop {
             frontier.hypercube_expand_into(d, &mut next);
-            let grew = wide::flood_step(
+            let grew = flood_step(
                 next.words_mut(),
                 reached.words_mut(),
                 self.contaminated.words(),
@@ -474,11 +508,8 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
                 frontier.insert(seed);
                 loop {
                     frontier.hypercube_expand_into(d, &mut next);
-                    let grew = wide::mask_clear2(
-                        next.words_mut(),
-                        self.contaminated.words(),
-                        reached.words(),
-                    );
+                    let grew =
+                        mask_clear2(next.words_mut(), self.contaminated.words(), reached.words());
                     if !grew {
                         break;
                     }
@@ -488,7 +519,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
                             .expect("every flooded node borders the reached set");
                         self.forest.adopt(y, seed, port as u8);
                     }
-                    wide::or_assign(reached.words_mut(), next.words());
+                    reached.union_with(&next);
                     std::mem::swap(&mut frontier, &mut next);
                 }
             }
@@ -559,7 +590,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
             Some(d) => {
                 let mut next = std::mem::take(&mut self.scratch_next);
                 self.contaminated.hypercube_expand_into(d, &mut next);
-                wide::mask_clear2(
+                mask_clear2(
                     next.words_mut(),
                     self.contaminated.words(),
                     self.guarded.words(),
@@ -705,7 +736,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
         frontier.insert(x);
         loop {
             frontier.hypercube_expand_into(d, &mut next);
-            let grew = wide::flood_step(
+            let grew = flood_step(
                 next.words_mut(),
                 self.contaminated.words_mut(),
                 self.guarded.words(),

@@ -8,11 +8,15 @@
 //! locks (taken in address order to avoid deadlock). The OS scheduler plays
 //! the adversary.
 //!
-//! Events are appended to a global log while both endpoint locks are held,
-//! giving a linearization the `hypersweep-intruder` monitors can audit just
-//! like an engine trace. Intended for moderate dimensions (`d ≤ 10`, i.e.
-//! at most a few hundred threads) as a cross-check of the engine, not as
-//! the scalable path.
+//! Events are appended to a global log while both endpoint locks are held.
+//! Visibility reads do not take those locks: they load the `occupancy` and
+//! `visited` mirrors. Every event is therefore logged *before* its effect
+//! is published to the mirrors, so a neighbour can only act on a state
+//! change, and log its own reaction, after that change is in the log. The
+//! log is then a linearization the `hypersweep-intruder` monitors can
+//! audit just like an engine trace. Intended for moderate dimensions
+//! (`d ≤ 10`, i.e. at most a few hundred threads) as a cross-check of the
+//! engine, not as the scalable path.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -170,8 +174,6 @@ pub fn run_threaded<P: AgentProgram>(
                 let mut cell = shared.cells[Node::ROOT.index()].lock();
                 cell.active += 1;
             }
-            shared.occupancy[Node::ROOT.index()].fetch_add(1, Ordering::AcqRel);
-            shared.visited[Node::ROOT.index()].store(true, Ordering::Release);
             shared.emit(
                 EventKind::Spawn {
                     agent: id,
@@ -180,6 +182,8 @@ pub fn run_threaded<P: AgentProgram>(
                 },
                 0,
             );
+            shared.occupancy[Node::ROOT.index()].fetch_add(1, Ordering::AcqRel);
+            shared.visited[Node::ROOT.index()].store(true, Ordering::Release);
             let shared_ref = &shared;
             scope.spawn(move || agent_main(shared_ref, scope, program, id, role, Node::ROOT));
         }
@@ -294,14 +298,12 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
                 };
                 from_cell.active -= 1;
                 to_cell.active += 1;
-                shared.occupancy[pos.index()].fetch_sub(1, Ordering::AcqRel);
-                shared.occupancy[to.index()].fetch_add(1, Ordering::AcqRel);
-                shared.visited[to.index()].store(true, Ordering::Release);
                 let away = match (pos == Node::ROOT, to == Node::ROOT) {
                     (true, false) => 1,
                     (false, true) => -1,
                     _ => 0,
                 };
+                // Log first, then publish: see the module doc.
                 shared.emit(
                     EventKind::Move {
                         agent: id,
@@ -311,6 +313,9 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
                     },
                     away,
                 );
+                shared.occupancy[pos.index()].fetch_sub(1, Ordering::AcqRel);
+                shared.occupancy[to.index()].fetch_add(1, Ordering::AcqRel);
+                shared.visited[to.index()].store(true, Ordering::Release);
                 match role {
                     Role::Coordinator => shared.coordinator_moves.fetch_add(1, Ordering::Relaxed),
                     Role::Worker => shared.worker_moves.fetch_add(1, Ordering::Relaxed),
@@ -329,8 +334,6 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
                 {
                     let mut to_cell = shared.cells[to.index()].lock();
                     to_cell.active += 1;
-                    shared.occupancy[to.index()].fetch_add(1, Ordering::AcqRel);
-                    shared.visited[to.index()].store(true, Ordering::Release);
                     shared.emit(
                         EventKind::CloneSpawn {
                             parent: id,
@@ -340,6 +343,8 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
                         },
                         i64::from(to != Node::ROOT),
                     );
+                    shared.occupancy[to.index()].fetch_add(1, Ordering::AcqRel);
+                    shared.visited[to.index()].store(true, Ordering::Release);
                     shared.worker_moves.fetch_add(1, Ordering::Relaxed);
                 }
                 shared.notify_visible(to);

@@ -34,7 +34,6 @@ pub mod node;
 pub mod nodeset;
 pub mod properties;
 pub mod render;
-pub mod wide;
 
 pub use broadcast::BroadcastTree;
 pub use graph::Topology;

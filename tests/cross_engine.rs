@@ -151,8 +151,12 @@ fn cloning_agrees_across_executors() {
 #[test]
 fn threaded_runs_are_repeatedly_correct() {
     // Different OS interleavings every time; the audit must hold for all.
+    // Enough runs to catch a log that is not a linearization: when agents
+    // published a move to neighbours before logging it, a neighbour could
+    // log its reaction first, and a few percent of d = 6 runs audited as a
+    // recontamination cascade.
     let cube = Hypercube::new(6);
-    for _ in 0..5 {
+    for run in 0..500 {
         let programs: Vec<(VisibilityAgent, Role)> =
             (0..32).map(|_| (VisibilityAgent, Role::Worker)).collect();
         let report = run_threaded(
@@ -165,7 +169,7 @@ fn threaded_runs_are_repeatedly_correct() {
         )
         .unwrap();
         let verdict = audit(cube, &report.events);
-        assert!(verdict.is_complete(), "{:?}", verdict.violations);
+        assert!(verdict.is_complete(), "run {run}: {:?}", verdict.violations);
     }
 }
 
