@@ -14,8 +14,52 @@
 //!   withheld for a seed-chosen window, modelling a late wake-up delivery;
 //! * **stalled-synchronizer** — agent 0 (the CLEAN synchronizer, or the
 //!   seed agent of the cloning variant) is starved like a laggard.
+//!
+//! The adversary reads the runnable set through [`RunnableView`]: its size,
+//! the agent at a rank, and the rank of an agent. "The k-th runnable agent
+//! other than `skip`" is then rank arithmetic, `k + (k >= position(skip))`,
+//! so a decision costs no more than the view's rank queries.
 
-use hypersweep_sim::AgentId;
+use hypersweep_sim::{AgentId, RunnableSet};
+
+/// A runnable set as the adversary sees it: distinct agent ids in a fixed
+/// order, addressed by rank.
+pub trait RunnableView {
+    /// Number of runnable agents.
+    fn len(&self) -> usize;
+    /// Whether no agent is runnable.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// The agent at rank `k < len()`.
+    fn select(&self, k: usize) -> AgentId;
+    /// The rank of `id`, or `None` if it is not runnable.
+    fn position(&self, id: AgentId) -> Option<usize>;
+}
+
+impl RunnableView for [AgentId] {
+    fn len(&self) -> usize {
+        <[AgentId]>::len(self)
+    }
+    fn select(&self, k: usize) -> AgentId {
+        self[k]
+    }
+    fn position(&self, id: AgentId) -> Option<usize> {
+        self.iter().position(|&r| r == id)
+    }
+}
+
+impl RunnableView for RunnableSet {
+    fn len(&self) -> usize {
+        RunnableSet::len(self)
+    }
+    fn select(&self, k: usize) -> AgentId {
+        RunnableSet::select(self, k)
+    }
+    fn position(&self, id: AgentId) -> Option<usize> {
+        RunnableSet::position(self, id)
+    }
+}
 
 /// The adversary families (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,6 +167,12 @@ impl Adversary {
 
     /// Pick an index into `runnable` (ascending agent ids, non-empty).
     pub fn choose(&mut self, runnable: &[AgentId], step: u64) -> u32 {
+        self.choose_from(runnable, step)
+    }
+
+    /// Pick a rank in `runnable` (non-empty). Equal views (same ids in the
+    /// same order) get equal decisions and equal RNG consumption.
+    pub fn choose_from<R: RunnableView + ?Sized>(&mut self, runnable: &R, step: u64) -> u32 {
         let len = runnable.len();
         debug_assert!(len > 0);
         if len == 1 {
@@ -140,17 +190,7 @@ impl Adversary {
                 idx as u32
             }
             AdversaryKind::Laggard | AdversaryKind::StalledSynchronizer => {
-                let others: Vec<u32> = runnable
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &id)| id != self.laggard)
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                if others.is_empty() {
-                    0
-                } else {
-                    others[self.rng.below(others.len() as u64) as usize]
-                }
+                self.below_skipping(runnable, self.laggard)
             }
             AdversaryKind::DelayedWakeup => {
                 // Withhold one agent for a window; everything else is
@@ -158,26 +198,30 @@ impl Adversary {
                 match self.delayed {
                     Some((id, left)) if left > 0 => {
                         self.delayed = Some((id, left - 1));
-                        let others: Vec<u32> = runnable
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &r)| r != id)
-                            .map(|(i, _)| i as u32)
-                            .collect();
-                        if others.is_empty() {
-                            0
-                        } else {
-                            others[self.rng.below(others.len() as u64) as usize]
-                        }
+                        self.below_skipping(runnable, id)
                     }
                     _ => {
-                        let victim = runnable[self.rng.below(len as u64) as usize];
+                        let victim = runnable.select(self.rng.below(len as u64) as usize);
                         let window = 4 + self.rng.below(28);
                         self.delayed = Some((victim, window));
                         self.rng.below(len as u64) as u32
                     }
                 }
             }
+        }
+    }
+
+    /// A uniform rank among the runnable agents other than `skip`
+    /// (`len() >= 2`, so there is at least one): draw among `len - 1`
+    /// ranks and step over `skip`'s.
+    fn below_skipping<R: RunnableView + ?Sized>(&mut self, runnable: &R, skip: AgentId) -> u32 {
+        let len = runnable.len() as u64;
+        match runnable.position(skip) {
+            Some(at) => {
+                let k = self.rng.below(len - 1);
+                (k + u64::from(k >= at as u64)) as u32
+            }
+            None => self.rng.below(len) as u32,
         }
     }
 }
@@ -220,5 +264,82 @@ mod tests {
             assert_ne!(runnable[idx as usize], 0);
         }
         assert_eq!(a.choose(&[0], 0), 0);
+    }
+
+    /// Reference for the skipping families, by definition: collect the
+    /// indices of every entry other than `skip` and draw one of them. The
+    /// rank arithmetic must match it draw for draw.
+    fn reference_choose(a: &mut Adversary, runnable: &[AgentId], step: u64) -> u32 {
+        let len = runnable.len();
+        if len == 1 {
+            return 0;
+        }
+        let skipping = |a: &mut Adversary, skip: AgentId| {
+            let others: Vec<u32> = (0..len as u32)
+                .filter(|&i| runnable[i as usize] != skip)
+                .collect();
+            others[a.rng.below(others.len() as u64) as usize]
+        };
+        match a.kind {
+            AdversaryKind::SeededRandom | AdversaryKind::RoundRobinSkew => a.choose(runnable, step),
+            AdversaryKind::Laggard | AdversaryKind::StalledSynchronizer => skipping(a, a.laggard),
+            AdversaryKind::DelayedWakeup => match a.delayed {
+                Some((id, left)) if left > 0 => {
+                    a.delayed = Some((id, left - 1));
+                    skipping(a, id)
+                }
+                _ => a.choose(runnable, step),
+            },
+        }
+    }
+
+    /// For every family: choosing over the engine's order-statistic set,
+    /// over the equal ascending slice, and with the list-building reference
+    /// gives the same index sequence. The random sets churn across word
+    /// boundaries and both contain and lack the starved/withheld agent, so
+    /// equal decisions also pin equal RNG consumption.
+    #[test]
+    fn set_slice_and_reference_choose_identically() {
+        for kind in AdversaryKind::ALL {
+            let mut on_set = Adversary::new(kind, 0xD1FF);
+            let mut on_slice = on_set.clone();
+            let mut on_reference = on_set.clone();
+            let mut set = RunnableSet::new();
+            let mut churn = SplitMix64(kind as u64);
+            let (mut with_skipped, mut without_skipped) = (0, 0);
+            for step in 0..10_000 {
+                for _ in 0..8 {
+                    let id = churn.below(150) as AgentId;
+                    if set.contains(id) && set.len() > 1 {
+                        set.remove(id);
+                    } else {
+                        set.insert(id);
+                    }
+                }
+                let slice: Vec<AgentId> = set.iter().collect();
+                let skipped = match kind {
+                    AdversaryKind::DelayedWakeup => on_set
+                        .delayed
+                        .and_then(|(id, left)| (left > 0).then_some(id)),
+                    AdversaryKind::Laggard | AdversaryKind::StalledSynchronizer => {
+                        Some(on_set.laggard)
+                    }
+                    _ => None,
+                };
+                if let Some(id) = skipped {
+                    if slice.contains(&id) {
+                        with_skipped += 1;
+                    } else {
+                        without_skipped += 1;
+                    }
+                }
+                let want = reference_choose(&mut on_reference, &slice, step);
+                assert_eq!(on_set.choose_from(&set, step), want, "{kind:?} step {step}");
+                assert_eq!(on_slice.choose(&slice, step), want, "{kind:?} step {step}");
+            }
+            if kind != AdversaryKind::SeededRandom && kind != AdversaryKind::RoundRobinSkew {
+                assert!(with_skipped > 1000 && without_skipped > 1000, "{kind:?}");
+            }
+        }
     }
 }

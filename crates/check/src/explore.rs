@@ -288,10 +288,12 @@ fn drive_async<P: AgentProgram>(
     let mut seen = 0usize;
     let mut step: u64 = 0;
     let violation = loop {
+        #[cfg(test)]
+        assert_bookkeeping_matches_scan(&engine);
         if engine.all_terminated() {
             break oracle.finish(step).err();
         }
-        let runnable = engine.runnable_agents();
+        let runnable = engine.runnable_set();
         if runnable.is_empty() {
             break Some(ViolationReport {
                 step,
@@ -309,12 +311,13 @@ fn drive_async<P: AgentProgram>(
             });
         }
         let raw = match &mut source {
-            Source::Adversary(a) => a.choose(&runnable, step),
+            Source::Adversary(a) => a.choose_from(runnable, step),
             Source::Trace(t) => t.get(step as usize).copied().unwrap_or(0),
         };
         let idx = (raw as usize) % runnable.len();
         decisions.push(idx as u32);
-        if let Err(e) = engine.step_agent(runnable[idx]) {
+        let agent = runnable.select(idx);
+        if let Err(e) = engine.step_agent(agent) {
             break Some(ViolationReport {
                 step,
                 event: oracle.events_applied(),
@@ -364,7 +367,10 @@ fn drive_sync<P: AgentProgram>(
                 kind: ViolationKind::StepLimit,
             });
         }
-        let outcome = match engine.step_round() {
+        let stepped = engine.step_round();
+        #[cfg(test)]
+        assert_bookkeeping_matches_scan(&engine);
+        let outcome = match stepped {
             Ok(o) => o,
             Err(e) => {
                 break Some(ViolationReport {
@@ -401,6 +407,32 @@ fn drive_sync<P: AgentProgram>(
         events,
         violation,
     }
+}
+
+/// Test-only reference for the engine's scheduling bookkeeping: its
+/// runnable set and live count against a scan of every agent's status.
+/// Both drivers assert it at every step of every schedule the unit tests
+/// explore.
+#[cfg(test)]
+fn assert_bookkeeping_matches_scan<P: AgentProgram>(engine: &Engine<P>) {
+    use hypersweep_sim::{AgentId, AgentStatus};
+    let ids = 0..engine.agent_count() as AgentId;
+    let runnable: Vec<AgentId> = ids
+        .clone()
+        .filter(|&id| engine.status(id) == AgentStatus::Runnable)
+        .collect();
+    let live = ids
+        .filter(|&id| engine.status(id) != AgentStatus::Terminated)
+        .count();
+    let set = engine.runnable_set();
+    assert_eq!(set.len(), runnable.len());
+    for (k, &id) in runnable.iter().enumerate() {
+        assert_eq!(set.select(k), id);
+        assert_eq!(set.position(id), Some(k));
+    }
+    assert_eq!(engine.runnable_agents(), runnable);
+    assert_eq!(engine.live_agents(), live);
+    assert_eq!(engine.all_terminated(), live == 0);
 }
 
 /// Apply all events newer than `*seen` to the oracle; first violation wins.
@@ -472,6 +504,22 @@ mod tests {
             caught,
             "the eager-guard mutant must be caught within 200 schedules"
         );
+    }
+
+    /// The drivers assert the engine's runnable set and live count against
+    /// a status scan at every step (see `assert_bookkeeping_matches_scan`);
+    /// five schedules cover every adversary family.
+    #[test]
+    fn engine_bookkeeping_matches_a_status_scan_at_d6() {
+        let strategies = CheckStrategy::PAPER
+            .into_iter()
+            .chain([CheckStrategy::MutantEagerGuard]);
+        for strategy in strategies {
+            let cfg = CheckConfig::new(strategy, 6);
+            for schedule in 0..5 {
+                explore_schedule(&cfg, 0x5CA9, schedule);
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! exact gap where asynchronous-model bugs hide. This crate closes it
 //! FoundationDB-style: a seeded deterministic scheduler drives each
 //! strategy step-by-step through the engine's step-granular hooks
-//! ([`hypersweep_sim::Engine::runnable_agents`] /
+//! ([`hypersweep_sim::Engine::runnable_set`] /
 //! [`hypersweep_sim::Engine::step_agent`]), choosing the activation order
-//! adversarially and checking invariant oracles after *every* step:
+//! adversarially and checking invariant oracles after *every* step. The
+//! runnable set is an order-statistic set the engine maintains at every
+//! status change, and the adversary addresses it by rank through
+//! [`RunnableView`], so one decision costs `O(log agents)`:
 //!
 //! * **monotone clean set** — no recontamination, ever;
 //! * **contiguous clean region** — connected and containing the homebase;
@@ -39,7 +42,7 @@ mod oracle;
 mod replay;
 mod shrink;
 
-pub use adversary::{Adversary, AdversaryKind};
+pub use adversary::{Adversary, AdversaryKind, RunnableView};
 pub use explore::{
     explore_schedule, explore_schedule_in, run_with_adversary, run_with_adversary_in,
     run_with_trace, run_with_trace_in, CheckArena, CheckConfig, CheckStrategy, ScheduleRun,

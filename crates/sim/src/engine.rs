@@ -24,6 +24,7 @@ use crate::event::{AgentId, Event, EventKind, Role};
 use crate::metrics::Metrics;
 use crate::policy::Policy;
 use crate::program::{Action, AgentProgram, Board, Ctx};
+use crate::runnable::RunnableSet;
 use crate::state::NodeState;
 
 /// Engine configuration.
@@ -109,10 +110,15 @@ impl RunReport {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AgentStatus {
+/// Where an agent is in its lifecycle (see [`Engine::status`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AgentStatus {
+    /// Spawned or woken: may be activated now.
     Runnable,
+    /// Waiting for a state change at its node (or, with visibility, a
+    /// neighbour).
     Parked,
+    /// Done; still guards its node.
     Terminated,
 }
 
@@ -130,7 +136,8 @@ enum Deferred {
     Terminate(AgentId),
 }
 
-/// Round-scoped buffers for [`Engine::sync_round`], reused across rounds.
+/// Round-scoped buffers for [`Engine::sync_round`], kept in the engine and
+/// reused across rounds.
 #[derive(Default)]
 struct SyncBufs {
     snapshot: Vec<NodeState>,
@@ -166,6 +173,11 @@ pub struct Engine<P: AgentProgram> {
     /// Reusable buffer for visibility snapshots in [`Engine::activate`].
     nbr_scratch: Vec<NodeState>,
     parked_at: Vec<Vec<AgentId>>,
+    /// Agents whose status is [`AgentStatus::Runnable`], with rank queries.
+    runnable_set: RunnableSet,
+    /// Agents not yet terminated.
+    live: usize,
+    /// The policy queue: membership for [`Engine::pick`], not status.
     runnable: VecDeque<AgentId>,
     in_runnable: Vec<bool>,
     rr_cursor: usize,
@@ -174,6 +186,7 @@ pub struct Engine<P: AgentProgram> {
     metrics: Metrics,
     away_now: u64,
     clock: u64,
+    sync_bufs: SyncBufs,
 }
 
 impl<P: AgentProgram> Engine<P> {
@@ -194,6 +207,8 @@ impl<P: AgentProgram> Engine<P> {
             visited: NodeSet::new(n),
             nbr_scratch: Vec::new(),
             parked_at: vec![Vec::new(); n],
+            runnable_set: RunnableSet::new(),
+            live: 0,
             runnable: VecDeque::new(),
             in_runnable: Vec::new(),
             rr_cursor: 0,
@@ -202,6 +217,7 @@ impl<P: AgentProgram> Engine<P> {
             metrics: Metrics::default(),
             away_now: 0,
             clock: 0,
+            sync_bufs: SyncBufs::default(),
         }
     }
 
@@ -213,13 +229,7 @@ impl<P: AgentProgram> Engine<P> {
     /// Place a new agent on `node` (the paper always spawns at the
     /// homebase `00…0`, but tests may spawn elsewhere).
     pub fn spawn(&mut self, program: P, node: Node, role: Role) -> AgentId {
-        let id = self.agents.len() as AgentId;
-        self.agents.push(AgentSlot {
-            program,
-            pos: node,
-            role,
-            status: AgentStatus::Runnable,
-        });
+        let id = self.push_agent(program, node, role);
         self.occupancy[node.index()] += 1;
         self.active_here[node.index()] += 1;
         self.visited.insert(node);
@@ -228,14 +238,47 @@ impl<P: AgentProgram> Engine<P> {
         }
         self.metrics.team_size += 1;
         self.metrics.peak_away = self.metrics.peak_away.max(self.away_now);
-        self.in_runnable.push(true);
-        self.runnable.push_back(id);
         self.emit(EventKind::Spawn {
             agent: id,
             node,
             role,
         });
         id
+    }
+
+    /// Append a runnable agent (spawn or clone) and enqueue it.
+    fn push_agent(&mut self, program: P, pos: Node, role: Role) -> AgentId {
+        let id = self.agents.len() as AgentId;
+        self.agents.push(AgentSlot {
+            program,
+            pos,
+            role,
+            status: AgentStatus::Runnable,
+        });
+        self.runnable_set.insert(id);
+        self.live += 1;
+        self.in_runnable.push(true);
+        self.runnable.push_back(id);
+        id
+    }
+
+    /// Every status change goes through here, keeping the runnable set
+    /// and the live count in step with the agents' statuses.
+    fn set_status(&mut self, id: AgentId, to: AgentStatus) {
+        let from = std::mem::replace(&mut self.agents[id as usize].status, to);
+        if from == to {
+            return;
+        }
+        match from {
+            AgentStatus::Runnable => self.runnable_set.remove(id),
+            AgentStatus::Parked => {}
+            AgentStatus::Terminated => unreachable!("terminated agents never change status"),
+        }
+        match to {
+            AgentStatus::Runnable => self.runnable_set.insert(id),
+            AgentStatus::Parked => {}
+            AgentStatus::Terminated => self.live -= 1,
+        }
     }
 
     fn emit(&mut self, kind: EventKind) {
@@ -261,7 +304,7 @@ impl<P: AgentProgram> Engine<P> {
 
     fn make_runnable(&mut self, id: AgentId) {
         if self.agents[id as usize].status == AgentStatus::Parked {
-            self.agents[id as usize].status = AgentStatus::Runnable;
+            self.set_status(id, AgentStatus::Runnable);
         }
         if self.agents[id as usize].status == AgentStatus::Runnable
             && !self.in_runnable[id as usize]
@@ -295,10 +338,9 @@ impl<P: AgentProgram> Engine<P> {
     }
 
     fn park(&mut self, id: AgentId) {
-        let slot = &mut self.agents[id as usize];
-        if slot.status == AgentStatus::Runnable {
-            slot.status = AgentStatus::Parked;
-            let pos = slot.pos;
+        if self.agents[id as usize].status == AgentStatus::Runnable {
+            self.set_status(id, AgentStatus::Parked);
+            let pos = self.agents[id as usize].pos;
             self.parked_at[pos.index()].push(id);
         }
     }
@@ -491,16 +533,8 @@ impl<P: AgentProgram> Engine<P> {
     fn apply_clone(&mut self, id: AgentId, port: u32) {
         let from = self.agents[id as usize].pos;
         let to = from.flip(port);
-        let child = self.agents.len() as AgentId;
         let program = self.agents[id as usize].program.clone_program();
-        self.agents.push(AgentSlot {
-            program,
-            pos: to,
-            role: Role::Worker,
-            status: AgentStatus::Runnable,
-        });
-        self.in_runnable.push(true);
-        self.runnable.push_back(child);
+        let child = self.push_agent(program, to, Role::Worker);
         self.occupancy[to.index()] += 1;
         self.active_here[to.index()] += 1;
         self.visited.insert(to);
@@ -522,7 +556,7 @@ impl<P: AgentProgram> Engine<P> {
 
     fn apply_terminate(&mut self, id: AgentId) {
         let pos = self.agents[id as usize].pos;
-        self.agents[id as usize].status = AgentStatus::Terminated;
+        self.set_status(id, AgentStatus::Terminated);
         self.active_here[pos.index()] -= 1;
         self.emit(EventKind::Terminate {
             agent: id,
@@ -559,9 +593,8 @@ impl<P: AgentProgram> Engine<P> {
     /// simultaneously at the round boundary.
     fn run_synchronous(mut self) -> Result<RunReport, RunError> {
         let mut rounds_with_moves: u64 = 0;
-        let mut bufs = SyncBufs::default();
         loop {
-            let out = self.sync_round(&mut bufs)?;
+            let out = self.step_round()?;
             if out.moved {
                 rounds_with_moves += 1;
             }
@@ -591,6 +624,8 @@ impl<P: AgentProgram> Engine<P> {
         }
         bufs.active_snapshot.clear();
         bufs.active_snapshot.extend_from_slice(&self.active_here);
+        // A round that failed part-way leaves its decisions behind.
+        bufs.deferred.clear();
 
         let mut wrote = false;
 
@@ -658,15 +693,11 @@ impl<P: AgentProgram> Engine<P> {
                 Deferred::Terminate(id) => self.apply_terminate(id),
             }
         }
-        let done = self
-            .agents
-            .iter()
-            .all(|a| a.status == AgentStatus::Terminated);
         Ok(RoundOutcome {
             moved,
             acted,
             wrote,
-            done,
+            done: self.live == 0,
         })
     }
 
@@ -690,13 +721,22 @@ impl<P: AgentProgram> Engine<P> {
     /// Ids of agents that can act right now (spawned or woken, not parked,
     /// not terminated), in ascending id order. The order is part of the
     /// deterministic contract: external schedulers index into this list.
+    /// A copy of [`Engine::runnable_set`], which answers the same rank
+    /// queries without materializing the list.
     pub fn runnable_agents(&self) -> Vec<AgentId> {
-        self.agents
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.status == AgentStatus::Runnable)
-            .map(|(i, _)| i as AgentId)
-            .collect()
+        self.runnable_set.iter().collect()
+    }
+
+    /// The runnable agents as an order-statistic set: `select(k)` is
+    /// `runnable_agents()[k]`, in `O(log agents)`. Maintained at every
+    /// status change, so per-decision scheduling never scans the agents.
+    pub fn runnable_set(&self) -> &RunnableSet {
+        &self.runnable_set
+    }
+
+    /// Lifecycle status of agent `id`. Panics if `id` was never spawned.
+    pub fn status(&self, id: AgentId) -> AgentStatus {
+        self.agents[id as usize].status
     }
 
     /// Activate one specific runnable agent. Mirrors exactly what the
@@ -726,8 +766,10 @@ impl<P: AgentProgram> Engine<P> {
     /// `ideal_time`; callers wanting it count rounds with
     /// [`RoundOutcome::moved`] themselves.
     pub fn step_round(&mut self) -> Result<RoundOutcome, RunError> {
-        let mut bufs = SyncBufs::default();
-        self.sync_round(&mut bufs)
+        let mut bufs = std::mem::take(&mut self.sync_bufs);
+        let out = self.sync_round(&mut bufs);
+        self.sync_bufs = bufs;
+        out
     }
 
     /// Total agents spawned so far, terminated guards included.
@@ -737,10 +779,7 @@ impl<P: AgentProgram> Engine<P> {
 
     /// Agents not yet terminated (runnable or parked).
     pub fn live_agents(&self) -> usize {
-        self.agents
-            .iter()
-            .filter(|a| a.status != AgentStatus::Terminated)
-            .count()
+        self.live
     }
 
     /// Whether every agent has terminated (the run is complete).

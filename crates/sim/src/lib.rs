@@ -31,14 +31,16 @@ pub mod event;
 pub mod metrics;
 pub mod policy;
 pub mod program;
+pub mod runnable;
 pub mod sink;
 pub mod state;
 pub mod threaded;
 
-pub use engine::{Engine, EngineConfig, RoundOutcome, RunError, RunReport};
+pub use engine::{AgentStatus, Engine, EngineConfig, RoundOutcome, RunError, RunReport};
 pub use event::{AgentId, Event, EventKind, Role};
 pub use metrics::Metrics;
 pub use policy::Policy;
 pub use program::{Action, AgentProgram, Board, Ctx};
+pub use runnable::RunnableSet;
 pub use sink::{EventSink, MeteredSink, NullSink, SummarizingSink, TraceSummary};
 pub use state::NodeState;
