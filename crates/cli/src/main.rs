@@ -22,7 +22,7 @@ use hypersweep_check::{CheckConfig, CheckStrategy, ReplayFile};
 use hypersweep_core::{
     CleanStrategy, CloningStrategy, SearchStrategy, SynchronousStrategy, VisibilityStrategy,
 };
-use hypersweep_intruder::{render_film, verify_trace, MonitorConfig};
+use hypersweep_intruder::{check_trace, render_film, verify_trace, MonitorConfig};
 use hypersweep_scenario::{GridStrategy, ScenarioId};
 use hypersweep_server::{run_bench, BenchConfig, Server, ServerLimits};
 use hypersweep_sim::{Event, Policy};
@@ -289,6 +289,7 @@ fn cmd_audit(d: u32, path: &str) -> Result<(), String> {
     let cube = Hypercube::new(d);
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let events: Vec<Event> = serde_json::from_str(&text).map_err(|e| e.to_string())?;
+    check_trace(&cube, &events).map_err(|e| format!("{path} is not a trace on H_{d}: {e}"))?;
     let far = Node(cube.node_count() as u32 - 1);
     let verdict = verify_trace(
         &cube,

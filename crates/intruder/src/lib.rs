@@ -27,9 +27,11 @@ pub mod contamination;
 pub mod evader;
 pub mod film;
 pub mod monitor;
+pub mod wellformed;
 
 pub use connectivity::SafeForest;
 pub use contamination::{ContaminationField, FieldScratch};
 pub use evader::{CaptureStatus, EvaderPolicy, Intruder};
 pub use film::{render_film, render_state, Frame};
 pub use monitor::{verify_trace, Monitor, MonitorConfig, Verdict, Violation};
+pub use wellformed::{check_trace, TraceError, TraceProblem};

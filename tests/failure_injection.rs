@@ -5,8 +5,9 @@
 
 use hypersweep::check::{StepOracle, ViolationKind, ViolationReport};
 use hypersweep::core::visibility::VisBoard;
+use hypersweep::intruder::{check_trace, TraceProblem};
 use hypersweep::prelude::*;
-use hypersweep::sim::{Action, AgentProgram, Ctx, Engine, EngineConfig, Event, Role};
+use hypersweep::sim::{Action, AgentProgram, Ctx, Engine, EngineConfig, Event, EventKind, Role};
 use hypersweep::topology::combinatorics as comb;
 use hypersweep_testutil::{move_event, spawn_event};
 
@@ -227,4 +228,72 @@ fn invalid_ports_are_hard_errors() {
         engine.run(),
         Err(hypersweep::sim::RunError::InvalidAction { .. })
     ));
+}
+
+/// `CleanStrategy`'s canonical trace of `H_3` with one event rewritten:
+/// the first event of the kind `pick` selects is passed to `edit`.
+fn edited_h3_trace(pick: fn(&EventKind) -> bool, edit: fn(&mut EventKind)) -> (Vec<Event>, u64) {
+    let mut trace = CleanStrategy::new(Hypercube::new(3))
+        .synthesize(true)
+        .1
+        .unwrap();
+    let at = trace.iter().position(|e| pick(&e.kind)).unwrap();
+    edit(&mut trace[at].kind);
+    (trace, at as u64 + 1)
+}
+
+/// A trace read from a file is checked before the monitor replays it. The
+/// monitor trusts every event: a move from a node no agent stands on would
+/// underflow that node's occupancy, leave it counted as guarded for the
+/// rest of the run, and the impossible trace would audit as a correct
+/// search.
+#[test]
+fn impossible_traces_are_rejected_at_their_first_bad_event() {
+    let cube = Hypercube::new(3);
+    let is_move = |k: &EventKind| matches!(k, EventKind::Move { .. });
+    let is_spawn = |k: &EventKind| matches!(k, EventKind::Spawn { .. });
+
+    let (trace, _) = edited_h3_trace(is_move, |_| {});
+    assert_eq!(check_trace(&cube, &trace), Ok(()));
+
+    let (wrong_from, at) = edited_h3_trace(is_move, |k| {
+        if let EventKind::Move { from, .. } = k {
+            *from = Node(7);
+        }
+    });
+    let err = check_trace(&cube, &wrong_from).unwrap_err();
+    assert_eq!(err.at_event, at);
+    assert!(
+        matches!(
+            err.problem,
+            TraceProblem::WrongSource {
+                at: Node(0),
+                claimed: Node(7),
+                ..
+            }
+        ),
+        "{err}"
+    );
+
+    let (out_of_range, at) = edited_h3_trace(is_spawn, |k| {
+        if let EventKind::Spawn { node, .. } = k {
+            *node = Node(8);
+        }
+    });
+    let err = check_trace(&cube, &out_of_range).unwrap_err();
+    assert_eq!(
+        (err.at_event, err.problem),
+        (at, TraceProblem::NodeOutOfRange(Node(8)))
+    );
+
+    let (unknown_agent, at) = edited_h3_trace(is_move, |k| {
+        if let EventKind::Move { agent, .. } = k {
+            *agent = 999;
+        }
+    });
+    let err = check_trace(&cube, &unknown_agent).unwrap_err();
+    assert_eq!(
+        (err.at_event, err.problem),
+        (at, TraceProblem::UnknownAgent(999))
+    );
 }
