@@ -12,7 +12,9 @@
 //! so a cached [`SearchOutcome`] is indistinguishable from a fresh one and
 //! exported JSON is unaffected by caching or execution order.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -195,7 +197,7 @@ pub struct JobTiming {
 }
 
 enum Entry {
-    /// Some thread is computing this key; wait on the condvar.
+    /// Some thread is computing this key; wait on the shard's condvar.
     InFlight,
     /// Computed; `last_used` orders entries for LRU eviction.
     Ready {
@@ -204,12 +206,12 @@ enum Entry {
     },
 }
 
-/// Map plus the LRU bookkeeping, guarded by one mutex.
+/// One shard's map plus its LRU bookkeeping, guarded by one mutex.
 struct CacheState {
     entries: HashMap<RunKey, Entry>,
     /// Monotonic access counter driving `last_used`.
     tick: u64,
-    /// Maximum number of `Ready` entries kept; `None` = unbounded.
+    /// This shard's slice of the capacity bound; `None` = unbounded.
     capacity: Option<usize>,
 }
 
@@ -221,12 +223,7 @@ impl CacheState {
         let Some(cap) = self.capacity else { return 0 };
         let mut evicted = 0;
         loop {
-            let ready = self
-                .entries
-                .values()
-                .filter(|e| matches!(e, Entry::Ready { .. }))
-                .count();
-            if ready <= cap {
+            if ready_count(self) <= cap {
                 return evicted;
             }
             let oldest = self
@@ -249,6 +246,16 @@ impl CacheState {
     }
 }
 
+/// One hash partition of the key space: its own lock, condvar and LRU, so
+/// lookups of keys on different shards never contend.
+struct Shard {
+    state: Mutex<CacheState>,
+    ready: Condvar,
+    /// Requests routed here (`cache.shard<i>.requests`), so skew is
+    /// observable.
+    requests: Counter,
+}
+
 type Runner = dyn Fn(RunKey) -> SearchOutcome + Send + Sync;
 
 /// Callback observing every *computed* insert (cache misses that finished
@@ -266,9 +273,9 @@ fn recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Live cache counters; these *are* the accounting (the accessors read
-/// them back), registered either in a caller-provided registry so a daemon
-/// sees them in its snapshots, or in a private one.
+/// Live cache counters, shared by every shard; these *are* the accounting
+/// (the accessors read them back), registered either in a caller-provided
+/// registry so a daemon sees them in its snapshots, or in a private one.
 struct CacheMetrics {
     hits: Counter,
     misses: Counter,
@@ -293,7 +300,7 @@ impl CacheMetrics {
 /// one of them retries instead of blocking forever on an entry nobody is
 /// computing. Disarmed on the successful path before `Ready` goes in.
 struct InFlightGuard<'a> {
-    cache: &'a RunCache,
+    shard: &'a Shard,
     key: RunKey,
     armed: bool,
 }
@@ -301,12 +308,12 @@ struct InFlightGuard<'a> {
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut state = recover(&self.cache.state);
+            let mut state = recover(&self.shard.state);
             if matches!(state.entries.get(&self.key), Some(Entry::InFlight)) {
                 state.entries.remove(&self.key);
             }
             drop(state);
-            self.cache.ready.notify_all();
+            self.shard.ready.notify_all();
         }
     }
 }
@@ -316,6 +323,28 @@ impl Drop for InFlightGuard<'_> {
 /// indefinitely, so the log must not grow without bound.
 const TIMINGS_HIGH_WATER: usize = 512;
 
+/// Largest accepted shard count; beyond this the per-shard capacity slices
+/// get too thin to be useful.
+pub const MAX_CACHE_SHARDS: usize = 64;
+
+/// Validate a `--cache-shards` request: `1..=MAX_CACHE_SHARDS`. Returns
+/// the count unchanged, or a message naming the valid range.
+pub fn validate_cache_shards(shards: usize) -> Result<usize, String> {
+    if shards == 0 {
+        Err(format!(
+            "--cache-shards 0 would leave no shard to serve from; \
+             valid range is 1..={MAX_CACHE_SHARDS}"
+        ))
+    } else if shards > MAX_CACHE_SHARDS {
+        Err(format!(
+            "--cache-shards {shards} exceeds the supported limit {MAX_CACHE_SHARDS}; \
+             valid range is 1..={MAX_CACHE_SHARDS}"
+        ))
+    } else {
+        Ok(shards)
+    }
+}
+
 /// Concurrent memo table over [`RunKey`]s.
 ///
 /// The first requester of a key executes it; concurrent requesters of the
@@ -323,16 +352,20 @@ const TIMINGS_HIGH_WATER: usize = 512;
 /// An optional capacity bounds the number of retained outcomes with
 /// least-recently-used eviction, so a long-running server stays in bounded
 /// memory (an evicted key simply re-executes on its next request).
+///
+/// Keys are hash-partitioned on the full `(strategy, dim, exec)` across
+/// one or more shards, each with its own lock and its slice of the
+/// capacity (LRU is per shard). One runner, timing log, insert listener
+/// and set of aggregate `cache.*` series serve every shard.
 pub struct RunCache {
-    state: Mutex<CacheState>,
-    ready: Condvar,
+    shards: Vec<Shard>,
     metrics: CacheMetrics,
     /// The registry `metrics` lives in; the daemon folds this into its own
     /// snapshot when the cache was built with a private registry.
     registry: MetricsRegistry,
     timings: Mutex<Vec<JobTiming>>,
     runner: Box<Runner>,
-    /// Fired (outside the state lock) after each computed insert; see
+    /// Fired (outside every shard lock) after each computed insert; see
     /// [`InsertListener`].
     insert_listener: Mutex<Option<InsertListener>>,
 }
@@ -344,62 +377,73 @@ impl Default for RunCache {
 }
 
 impl RunCache {
-    /// An unbounded cache backed by [`execute_run`].
+    /// An unbounded single-shard cache backed by [`execute_run`].
     pub fn new() -> Self {
         Self::with_runner(execute_run)
     }
 
-    /// A cache backed by [`execute_run`] keeping at most `capacity`
-    /// computed outcomes (`None` = unbounded).
-    pub fn with_capacity(capacity: Option<usize>) -> Self {
-        let cache = Self::new();
-        cache.set_capacity(capacity);
-        cache
-    }
-
-    /// A capacity-bounded cache whose `cache.*` series live in `registry`,
-    /// so a daemon's metrics snapshot sees them directly.
+    /// A cache backed by [`execute_run`] with `shards` shards splitting
+    /// `capacity` (`None` = unbounded), whose `cache.*` series live in
+    /// `registry`, so a daemon's metrics snapshot sees them directly. See
+    /// [`RunCache::with_shards`] for how the shard count is clamped.
     pub fn with_capacity_and_telemetry(
+        shards: usize,
         capacity: Option<usize>,
         registry: &MetricsRegistry,
     ) -> Self {
-        let cache = Self::with_runner_and_telemetry(execute_run, registry);
-        cache.set_capacity(capacity);
-        cache
+        Self::with_shards(shards, capacity, registry, execute_run)
     }
 
-    /// An empty unbounded cache backed by a custom runner (for tests).
+    /// An empty unbounded single-shard cache backed by a custom runner
+    /// (for tests), accounting into a private registry.
     pub fn with_runner(runner: impl Fn(RunKey) -> SearchOutcome + Send + Sync + 'static) -> Self {
-        // A private registry keeps the accounting accessors live even for
-        // callers that never look at telemetry.
-        Self::with_runner_and_telemetry(runner, &MetricsRegistry::new())
+        Self::with_shards(1, None, &MetricsRegistry::new(), runner)
     }
 
-    /// A cache with both a custom runner and a caller-chosen registry.
-    pub fn with_runner_and_telemetry(
-        runner: impl Fn(RunKey) -> SearchOutcome + Send + Sync + 'static,
+    /// The general constructor: `shards` shards over one `runner`,
+    /// splitting `capacity`, accounting into `registry`.
+    ///
+    /// The shard count is clamped to `1..=MAX_CACHE_SHARDS` and to at most
+    /// `capacity`, so every shard retains at least one outcome (see
+    /// [`RunCache::set_capacity`]). A disabled registry is replaced with a
+    /// private live one: it would silently zero the accounting the harness
+    /// relies on.
+    pub fn with_shards(
+        shards: usize,
+        capacity: Option<usize>,
         registry: &MetricsRegistry,
+        runner: impl Fn(RunKey) -> SearchOutcome + Send + Sync + 'static,
     ) -> Self {
-        // A disabled registry would silently zero the accounting the
-        // harness relies on; fall back to a private live one.
+        let mut count = shards.clamp(1, MAX_CACHE_SHARDS);
+        if let Some(cap) = capacity {
+            count = count.min(cap.max(1));
+        }
         let registry = if registry.is_enabled() {
             registry.clone()
         } else {
             MetricsRegistry::new()
         };
-        RunCache {
-            state: Mutex::new(CacheState {
-                entries: HashMap::new(),
-                tick: 0,
-                capacity: None,
-            }),
-            ready: Condvar::new(),
+        let shards = (0..count)
+            .map(|i| Shard {
+                state: Mutex::new(CacheState {
+                    entries: HashMap::new(),
+                    tick: 0,
+                    capacity: None,
+                }),
+                ready: Condvar::new(),
+                requests: registry.counter(&format!("cache.shard{i}.requests")),
+            })
+            .collect();
+        let cache = RunCache {
+            shards,
             metrics: CacheMetrics::resolve(&registry),
             registry,
             timings: Mutex::new(Vec::new()),
             runner: Box::new(runner),
             insert_listener: Mutex::new(None),
-        }
+        };
+        cache.set_capacity(capacity);
+        cache
     }
 
     /// The registry holding this cache's `cache.*` series.
@@ -407,33 +451,66 @@ impl RunCache {
         &self.registry
     }
 
-    /// Bound (or unbound, with `None`) the number of retained outcomes.
-    /// Shrinking evicts immediately.
+    /// Number of shards (at most the capacity bound; see
+    /// [`RunCache::with_shards`]).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Which shard owns `key`. Stable for the life of the process (the
+    /// hash has fixed keys), so repeated requests always land on the same
+    /// shard; a single-shard cache skips the hash.
+    pub fn shard_index(&self, key: &RunKey) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
+        }
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        (hasher.finish() % self.shards.len() as u64) as usize
+    }
+
+    fn shard(&self, key: &RunKey) -> &Shard {
+        &self.shards[self.shard_index(key)]
+    }
+
+    /// Re-split a total capacity bound (or unbound it, with `None`) across
+    /// the shards; shrinking evicts immediately, per shard. A bound below
+    /// the shard count (zero included) is raised to it, so every shard
+    /// retains at least one outcome.
     pub fn set_capacity(&self, capacity: Option<usize>) {
-        let mut state = recover(&self.state);
-        state.capacity = capacity;
-        let evicted = state.enforce_capacity();
-        self.metrics.evictions.add(evicted);
-        // Maintained as a delta, not `set(ready_count)`: several shards of a
-        // sharded cache may share one `cache.entries` gauge, and deltas make
-        // the shared cell the aggregate across all of them.
-        self.metrics.entries.add(-(evicted as i64));
+        let n = self.shards.len();
+        let capacity = capacity.map(|c| c.max(n));
+        for (i, shard) in self.shards.iter().enumerate() {
+            let mut state = recover(&shard.state);
+            // `total / n` plus one of the remainder: at least one each.
+            state.capacity = capacity.map(|c| c / n + usize::from(i < c % n));
+            let evicted = state.enforce_capacity();
+            self.metrics.evictions.add(evicted);
+            // Maintained as a delta, not `set(len)`: every shard moves the
+            // one shared `cache.entries` gauge, which thereby holds the
+            // aggregate across all of them.
+            self.metrics.entries.add(-(evicted as i64));
+        }
     }
 
-    /// The current capacity bound (`None` = unbounded).
+    /// The total capacity bound: the sum of the shards' slices (`None` =
+    /// unbounded).
     pub fn capacity(&self) -> Option<usize> {
-        recover(&self.state).capacity
+        self.shards.iter().map(|s| recover(&s.state).capacity).sum()
     }
 
-    /// The outcome for `key`, executing it exactly once across all callers.
+    /// The outcome for `key`, executing it exactly once across all callers
+    /// (the shard owning the key dedupes concurrent requesters).
     ///
     /// If the executing runner panics, the panic propagates to *its*
     /// caller, the in-flight marker is removed, and one blocked waiter
     /// retries the run (counting a fresh miss) — waiters never hang on an
     /// entry nobody is computing.
     pub fn get_or_run(&self, key: RunKey) -> Arc<SearchOutcome> {
+        let shard = self.shard(&key);
+        shard.requests.inc();
         {
-            let mut state = recover(&self.state);
+            let mut state = recover(&shard.state);
             loop {
                 match state.entries.get(&key) {
                     Some(Entry::Ready { .. }) => {
@@ -449,7 +526,7 @@ impl RunCache {
                         return Arc::clone(outcome);
                     }
                     Some(Entry::InFlight) => {
-                        state = self
+                        state = shard
                             .ready
                             .wait(state)
                             .unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -465,7 +542,7 @@ impl RunCache {
         // Execute outside the lock so unrelated keys proceed concurrently.
         // The guard undoes the in-flight marker if the runner unwinds.
         let mut guard = InFlightGuard {
-            cache: self,
+            shard,
             key,
             armed: true,
         };
@@ -475,28 +552,28 @@ impl RunCache {
         guard.armed = false;
         self.record_timing(JobTiming { key, elapsed });
         self.metrics.run_us.record_duration(elapsed);
-        let mut state = recover(&self.state);
-        state.tick += 1;
-        let tick = state.tick;
-        state.entries.insert(
-            key,
-            Entry::Ready {
-                outcome: Arc::clone(&outcome),
-                last_used: tick,
-            },
-        );
-        let evicted = state.enforce_capacity();
-        self.metrics.evictions.add(evicted);
-        // The insert replaced this key's `InFlight` marker with one `Ready`
-        // entry; see `set_capacity` for why the gauge moves by deltas.
-        self.metrics.entries.add(1 - evicted as i64);
-        drop(state);
-        self.ready.notify_all();
+        // The insert replaces this key's `InFlight` marker with one `Ready`
+        // entry.
+        self.insert(&mut recover(&shard.state), key, Arc::clone(&outcome));
+        shard.ready.notify_all();
         let listener = recover(&self.insert_listener).clone();
         if let Some(listener) = listener {
             listener(key, &outcome);
         }
         outcome
+    }
+
+    /// Put a `Ready` entry for `key` into a locked shard, evicting down to
+    /// the shard's bound.
+    fn insert(&self, state: &mut CacheState, key: RunKey, outcome: Arc<SearchOutcome>) {
+        state.tick += 1;
+        let last_used = state.tick;
+        state
+            .entries
+            .insert(key, Entry::Ready { outcome, last_used });
+        let evicted = state.enforce_capacity();
+        self.metrics.evictions.add(evicted);
+        self.metrics.entries.add(1 - evicted as i64);
     }
 
     /// Observe every computed insert (see [`InsertListener`]). Later
@@ -506,39 +583,33 @@ impl RunCache {
         *recover(&self.insert_listener) = Some(listener);
     }
 
-    /// Insert an already-computed outcome for `key` without counting a miss
-    /// or firing the insert listener — the warm-load path. Returns `false`
-    /// (and leaves the cache unchanged) if the key is already present,
-    /// computed or in flight.
+    /// Insert an already-computed outcome for `key` into its owning shard
+    /// without counting a miss or firing the insert listener — the
+    /// warm-load path. Returns `false` (and leaves the cache unchanged) if
+    /// the key is already present, computed or in flight.
     pub fn insert_ready(&self, key: RunKey, outcome: SearchOutcome) -> bool {
-        let mut state = recover(&self.state);
+        let mut state = recover(&self.shard(&key).state);
         if state.entries.contains_key(&key) {
             return false;
         }
-        state.tick += 1;
-        let tick = state.tick;
-        state.entries.insert(
-            key,
-            Entry::Ready {
-                outcome: Arc::new(outcome),
-                last_used: tick,
-            },
-        );
-        let evicted = state.enforce_capacity();
-        self.metrics.evictions.add(evicted);
-        self.metrics.entries.add(1 - evicted as i64);
+        self.insert(&mut state, key, Arc::new(outcome));
         true
     }
 
     /// Every computed entry currently held, unordered. Touches no LRU
     /// state — snapshotting for compaction must not perturb eviction order.
     pub fn entries_snapshot(&self) -> Vec<(RunKey, Arc<SearchOutcome>)> {
-        recover(&self.state)
-            .entries
+        self.shards
             .iter()
-            .filter_map(|(k, e)| match e {
-                Entry::Ready { outcome, .. } => Some((*k, Arc::clone(outcome))),
-                Entry::InFlight => None,
+            .flat_map(|shard| {
+                recover(&shard.state)
+                    .entries
+                    .iter()
+                    .filter_map(|(k, e)| match e {
+                        Entry::Ready { outcome, .. } => Some((*k, Arc::clone(outcome))),
+                        Entry::InFlight => None,
+                    })
+                    .collect::<Vec<_>>()
             })
             .collect()
     }
@@ -573,9 +644,12 @@ impl RunCache {
         self.metrics.evictions.get()
     }
 
-    /// Computed outcomes currently held.
+    /// Computed outcomes currently held, summed over shards.
     pub fn len(&self) -> usize {
-        ready_count(&recover(&self.state))
+        self.shards
+            .iter()
+            .map(|s| ready_count(&recover(&s.state)))
+            .sum()
     }
 
     /// Whether the cache currently holds no computed outcome.
@@ -603,7 +677,7 @@ impl RunCache {
     }
 }
 
-/// `Ready` entries in the table (in-flight markers are not outcomes).
+/// `Ready` entries in one shard (in-flight markers are not outcomes).
 fn ready_count(state: &CacheState) -> usize {
     state
         .entries
@@ -621,6 +695,40 @@ mod tests {
     fn dummy_outcome() -> SearchOutcome {
         // Any real run works; the cheapest possible one keeps tests fast.
         execute_run(RunKey::fast(StrategyKind::Clean, 1))
+    }
+
+    fn sharded(shards: usize, capacity: Option<usize>) -> RunCache {
+        RunCache::with_shards(shards, capacity, &MetricsRegistry::new(), |_| {
+            dummy_outcome()
+        })
+    }
+
+    /// Outcomes resident in shard `i`.
+    fn shard_len(cache: &RunCache, i: usize) -> usize {
+        ready_count(&recover(&cache.shards[i].state))
+    }
+
+    /// Every shard's slice of the capacity bound, in shard order.
+    fn shard_capacities(cache: &RunCache) -> Vec<Option<usize>> {
+        cache
+            .shards
+            .iter()
+            .map(|s| recover(&s.state).capacity)
+            .collect()
+    }
+
+    /// Keys of a few strategies across many dims, a representative request
+    /// mix.
+    fn keys(n: u32) -> Vec<RunKey> {
+        (1..=n)
+            .flat_map(|d| {
+                [
+                    RunKey::fast(StrategyKind::Clean, d),
+                    RunKey::audited(StrategyKind::Visibility, d),
+                    RunKey::audited(StrategyKind::Cloning, d),
+                ]
+            })
+            .collect()
     }
 
     #[test]
@@ -752,7 +860,8 @@ mod tests {
 
     #[test]
     fn evicted_outcome_recomputes_identically() {
-        let cache = RunCache::with_capacity(Some(1));
+        let cache = RunCache::new();
+        cache.set_capacity(Some(1));
         let key = RunKey::audited(StrategyKind::Visibility, 3);
         let first = cache.get_or_run(key);
         cache.get_or_run(RunKey::audited(StrategyKind::Cloning, 3)); // evicts
@@ -806,7 +915,7 @@ mod tests {
     #[test]
     fn telemetry_registry_sees_live_cache_series() {
         let registry = MetricsRegistry::new();
-        let cache = RunCache::with_capacity_and_telemetry(Some(2), &registry);
+        let cache = RunCache::with_capacity_and_telemetry(1, Some(2), &registry);
         assert!(cache.registry().ptr_eq(&registry));
         for d in 1..=3 {
             cache.get_or_run(RunKey::fast(StrategyKind::Clean, d));
@@ -851,7 +960,8 @@ mod tests {
 
     #[test]
     fn insert_ready_respects_capacity() {
-        let cache = RunCache::with_capacity(Some(2));
+        let cache = RunCache::new();
+        cache.set_capacity(Some(2));
         for d in 1..=4 {
             let key = RunKey::fast(StrategyKind::Flood, d);
             assert!(cache.insert_ready(key, execute_run(key)));
@@ -903,5 +1013,194 @@ mod tests {
         let timings = cache.timings();
         assert_eq!(timings.len(), 4);
         assert!(cache.total_run_time() >= timings[0].elapsed);
+    }
+
+    #[test]
+    fn shard_count_validation_bounds() {
+        assert!(validate_cache_shards(0).is_err());
+        assert_eq!(validate_cache_shards(1), Ok(1));
+        assert_eq!(
+            validate_cache_shards(MAX_CACHE_SHARDS),
+            Ok(MAX_CACHE_SHARDS)
+        );
+        assert!(validate_cache_shards(MAX_CACHE_SHARDS + 1).is_err());
+    }
+
+    #[test]
+    fn keys_spread_across_shards_and_routing_is_stable() {
+        let cache = sharded(8, None);
+        let keys = keys(20);
+        let mut seen = vec![0usize; cache.shard_count()];
+        for key in &keys {
+            let idx = cache.shard_index(key);
+            assert_eq!(idx, cache.shard_index(key), "routing must be stable");
+            seen[idx] += 1;
+        }
+        let populated = seen.iter().filter(|&&c| c > 0).count();
+        assert!(
+            populated >= cache.shard_count() / 2,
+            "60 keys landed on only {populated}/8 shards: {seen:?}"
+        );
+    }
+
+    #[test]
+    fn aggregate_accounting_matches_single_cache_semantics() {
+        let registry = MetricsRegistry::new();
+        let cache = RunCache::with_shards(4, None, &registry, |_| dummy_outcome());
+        let keys = keys(10);
+        for key in &keys {
+            cache.get_or_run(*key);
+        }
+        for key in &keys {
+            cache.get_or_run(*key);
+        }
+        assert_eq!(cache.misses(), keys.len() as u64);
+        assert_eq!(cache.hits(), keys.len() as u64);
+        assert_eq!(cache.len(), keys.len());
+        assert_eq!(cache.unique_runs(), keys.len());
+        // The shared registry's cells hold the aggregates directly (this is
+        // what keeps the daemon's `cache.*` series meaningful), and the
+        // delta-maintained entries gauge agrees with `len()`.
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("cache.misses"), Some(keys.len() as u64));
+        assert_eq!(snap.counter("cache.hits"), Some(keys.len() as u64));
+        assert_eq!(snap.gauge("cache.entries"), Some(keys.len() as i64));
+        // Per-shard request counters cover every request exactly once.
+        let requests: u64 = (0..cache.shard_count())
+            .map(|i| {
+                snap.counter(&format!("cache.shard{i}.requests"))
+                    .expect("every shard registers its request counter")
+            })
+            .sum();
+        assert_eq!(requests, 2 * keys.len() as u64);
+        let entries: usize = (0..cache.shard_count()).map(|i| shard_len(&cache, i)).sum();
+        assert_eq!(entries, keys.len());
+    }
+
+    #[test]
+    fn eviction_is_per_shard_lru() {
+        let cache = sharded(2, Some(2));
+        // Find three keys owned by the same shard, so its 1-entry slice
+        // (2 total / 2 shards) must evict.
+        let owned: Vec<RunKey> = keys(20)
+            .into_iter()
+            .filter(|k| cache.shard_index(k) == 0)
+            .take(3)
+            .collect();
+        assert_eq!(owned.len(), 3, "need three keys on shard 0");
+        assert_eq!(cache.capacity(), Some(2));
+        for key in &owned {
+            cache.get_or_run(*key);
+        }
+        // Shard 0 holds one entry; the other shard was never touched.
+        assert_eq!(cache.evictions(), 2);
+        assert_eq!(shard_len(&cache, 0), 1);
+        assert_eq!(shard_len(&cache, 1), 0);
+        // The survivor is the most recently used key.
+        cache.get_or_run(owned[2]);
+        assert_eq!(cache.hits(), 1);
+    }
+
+    #[test]
+    fn capacity_resplits_across_shards() {
+        let cache = sharded(3, Some(7));
+        assert_eq!(shard_capacities(&cache), vec![Some(3), Some(2), Some(2)]);
+        cache.set_capacity(None);
+        assert_eq!(cache.capacity(), None);
+        cache.set_capacity(Some(3));
+        assert_eq!(cache.capacity(), Some(3));
+    }
+
+    /// A capacity below the requested shard count builds fewer shards
+    /// instead of shards that retain nothing: with 8 shards over a cap of
+    /// 3, keys routed to shards 3..8 used never to hit.
+    #[test]
+    fn capacity_below_shard_count_clamps_the_shard_count() {
+        let registry = MetricsRegistry::new();
+        let cache = RunCache::with_shards(8, Some(3), &registry, |_| dummy_outcome());
+        assert_eq!(cache.shard_count(), 3);
+        assert_eq!(cache.capacity(), Some(3));
+        assert_eq!(shard_capacities(&cache), vec![Some(1); 3]);
+        for d in 1..=6 {
+            let key = RunKey::fast(StrategyKind::Flood, d);
+            cache.get_or_run(key);
+            cache.get_or_run(key);
+        }
+        assert_eq!(cache.hits(), 6, "every back-to-back repeat must hit");
+        assert_eq!(cache.misses(), 6);
+        assert!(registry
+            .snapshot()
+            .counter("cache.shard3.requests")
+            .is_none());
+        // Re-bounding below the shard count raises the bound to it.
+        cache.set_capacity(Some(1));
+        assert_eq!(cache.capacity(), Some(3));
+        // A cap of zero builds one shard that still retains one outcome.
+        let zero = sharded(8, Some(0));
+        assert_eq!((zero.shard_count(), zero.capacity()), (1, Some(1)));
+        assert_eq!(
+            sharded(MAX_CACHE_SHARDS + 5, None).shard_count(),
+            MAX_CACHE_SHARDS
+        );
+    }
+
+    #[test]
+    fn warm_inserts_route_to_owning_shards_and_listener_fans_out() {
+        let cache = sharded(4, None);
+        let seen = Arc::new(Mutex::new(Vec::<RunKey>::new()));
+        let sink = Arc::clone(&seen);
+        cache.set_insert_listener(Arc::new(move |key, _| {
+            sink.lock().unwrap().push(key);
+        }));
+        // Warm inserts land on the owning shard and never fire the listener.
+        let warm = keys(6);
+        for key in &warm {
+            assert!(cache.insert_ready(*key, dummy_outcome()));
+            assert!(shard_len(&cache, cache.shard_index(key)) > 0);
+        }
+        assert!(seen.lock().unwrap().is_empty());
+        assert_eq!(cache.len(), warm.len());
+        // Warm entries serve as hits; a fresh key computes and fires.
+        cache.get_or_run(warm[0]);
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
+        let fresh = RunKey::fast(StrategyKind::Synchronous, 9);
+        cache.get_or_run(fresh);
+        assert_eq!(seen.lock().unwrap().as_slice(), [fresh]);
+        // The snapshot covers every shard.
+        assert_eq!(cache.entries_snapshot().len(), warm.len() + 1);
+    }
+
+    #[test]
+    fn concurrent_mixed_shard_traffic_dedupes_per_key() {
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let cache = Arc::new(RunCache::with_shards(
+            8,
+            None,
+            &MetricsRegistry::new(),
+            |_| {
+                RUNS.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(2));
+                dummy_outcome()
+            },
+        ));
+        let keys = keys(8);
+        std::thread::scope(|scope| {
+            for _ in 0..6 {
+                let cache = Arc::clone(&cache);
+                let keys = keys.clone();
+                scope.spawn(move || {
+                    for key in &keys {
+                        cache.get_or_run(*key);
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            RUNS.load(Ordering::SeqCst),
+            keys.len(),
+            "each unique key must execute exactly once across shards"
+        );
+        assert_eq!(cache.misses(), keys.len() as u64);
+        assert_eq!(cache.hits(), 5 * keys.len() as u64);
     }
 }

@@ -707,7 +707,7 @@ fn cmd_serve(
             .cache_capacity
             .map(|c| c.to_string())
             .unwrap_or_else(|| "unbounded".into()),
-        limits.cache_shards,
+        server.cache_shards(),
         if limits.telemetry { "on" } else { "off" },
     );
     if let Some(path) = &limits.uds_path {

@@ -8,8 +8,8 @@
 //! [`WorkerPool`] — a full queue turns into an immediate `busy` error,
 //! and a slow run turns into a `timeout` error after
 //! [`ServerLimits::request_timeout`] (the run itself still completes and
-//! warms the cache). Audits deduplicate through an N-sharded
-//! [`ShardedRunCache`] hash-partitioned on the run key.
+//! warms the cache). Audits deduplicate through a [`RunCache`] of
+//! [`ServerLimits::cache_shards`] shards, hash-partitioned on the run key.
 //!
 //! Shutdown is cooperative: a SIGINT (when [`install_sigint_handler`] is
 //! active) or a `shutdown` request raises one flag; the reactor stops
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hypersweep_analysis::{CacheStore, PersistAppender, RunCache, ShardedRunCache, WorkerPool};
+use hypersweep_analysis::{CacheStore, PersistAppender, RunCache, WorkerPool};
 use hypersweep_telemetry::{log_line, Histogram, MetricsRegistry};
 
 use crate::dispatch::Dispatcher;
@@ -151,7 +151,7 @@ impl Shared {
 struct Persist {
     store: CacheStore,
     appender: PersistAppender,
-    cache: Arc<ShardedRunCache>,
+    cache: Arc<RunCache>,
 }
 
 /// The daemon: bind, then [`Server::run`] until shutdown.
@@ -163,13 +163,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` with a fresh sharded run cache
-    /// ([`ServerLimits::cache_shards`] shards splitting
-    /// [`ServerLimits::cache_capacity`]), accounting into the daemon's
-    /// own telemetry registry (one unmerged snapshot serves `metrics`).
+    /// Bind `addr` with a fresh run cache ([`ServerLimits::cache_shards`]
+    /// shards, at most one per entry of [`ServerLimits::cache_capacity`],
+    /// splitting it), accounting into the daemon's own telemetry registry
+    /// (one unmerged snapshot serves `metrics`).
     pub fn bind(addr: impl ToSocketAddrs, limits: ServerLimits) -> io::Result<Server> {
         let registry = Self::registry_for(&limits);
-        let cache = Arc::new(ShardedRunCache::with_capacity_and_telemetry(
+        let cache = Arc::new(RunCache::with_capacity_and_telemetry(
             limits.cache_shards,
             limits.cache_capacity,
             &registry,
@@ -178,17 +178,18 @@ impl Server {
     }
 
     /// Bind `addr` serving from a caller-provided cache (tests inject slow
-    /// or pre-warmed runners this way), wrapped as a single shard. The
-    /// cache keeps its own registry; `metrics` replies merge it into the
-    /// daemon's snapshot.
+    /// or pre-warmed runners this way), bounded by
+    /// [`ServerLimits::cache_capacity`]. The cache keeps its own shards and
+    /// registry; `metrics` replies merge that registry into the daemon's
+    /// snapshot.
     pub fn with_cache(
         addr: impl ToSocketAddrs,
         limits: ServerLimits,
         cache: Arc<RunCache>,
     ) -> io::Result<Server> {
+        cache.set_capacity(limits.cache_capacity);
         let registry = Self::registry_for(&limits);
-        let sharded = Arc::new(ShardedRunCache::from_caches(vec![cache]));
-        Self::build(addr, limits, sharded, registry)
+        Self::build(addr, limits, cache, registry)
     }
 
     fn registry_for(limits: &ServerLimits) -> MetricsRegistry {
@@ -202,10 +203,9 @@ impl Server {
     fn build(
         addr: impl ToSocketAddrs,
         limits: ServerLimits,
-        cache: Arc<ShardedRunCache>,
+        cache: Arc<RunCache>,
         registry: MetricsRegistry,
     ) -> io::Result<Server> {
-        cache.set_capacity(limits.cache_capacity);
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let uds = match &limits.uds_path {
@@ -256,6 +256,12 @@ impl Server {
     /// The bound TCP address (useful after binding port 0).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
+    }
+
+    /// How many shards the run cache has (the requested count, clamped to
+    /// the capacity).
+    pub fn cache_shards(&self) -> usize {
+        self.shared.dispatcher.cache().shard_count()
     }
 
     /// A handle that makes [`Server::run`] drain and return when raised.

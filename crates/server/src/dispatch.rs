@@ -3,15 +3,17 @@
 //! The dispatcher is pure compute over shared state — the daemon decides
 //! *where* it runs (worker pool, with timeout) and the dispatcher decides
 //! *what* it answers. `plan` and `predict` evaluate the paper's closed
-//! forms directly; `audit` goes through the shared [`RunCache`] under an
-//! [`Exec::Audited`](hypersweep_analysis::Exec) key, so repeated audits of
-//! the same configuration are served from memory and concurrent duplicates
-//! execute exactly once.
+//! forms directly; `audit` goes through the shared (possibly sharded)
+//! [`RunCache`] under an [`Exec::Audited`](hypersweep_analysis::Exec) key,
+//! so repeated audits of the same configuration are served from memory
+//! and concurrent duplicates execute exactly once. Scenario requests are
+//! memoised per `(scenario, side, instance)` in a table bounded by the
+//! run cache's capacity.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use hypersweep_analysis::{validate_max_dim, RunCache, RunKey, ShardedRunCache, StrategyKind};
+use hypersweep_analysis::{validate_max_dim, RunCache, RunKey, StrategyKind};
 use hypersweep_core::predictions::{
     clean_phase_accounting, clean_prediction, cloning_prediction, visibility_prediction,
 };
@@ -45,7 +47,7 @@ fn wire_u64(x: u128) -> u64 {
 /// [`Dispatcher::served`], and a `metrics` request serializes the whole
 /// registry, so `status` and `metrics` can never disagree.
 pub struct Dispatcher {
-    cache: Arc<ShardedRunCache>,
+    cache: Arc<RunCache>,
     answers: AnswerTable,
     max_dim: u32,
     registry: MetricsRegistry,
@@ -63,38 +65,26 @@ pub struct Dispatcher {
     scenario_misses: Counter,
     /// Reference runs per `(scenario, side, instance)` — deterministic,
     /// so caching preserves byte-identical replies while making repeat
-    /// scenario requests as cheap as a lookup.
+    /// scenario requests as cheap as a lookup. Holds at most the run
+    /// cache's capacity: the wire accepts any `holes:<seed>`.
     scenario_refs: Mutex<HashMap<(ScenarioId, u32, GridInstance), ScenarioReference>>,
 }
 
 impl Dispatcher {
-    /// Build a dispatcher over a single-shard wrap of `cache`, refusing
-    /// dimensions above `max_dim`, counting into a private registry.
+    /// Build a dispatcher over `cache`, refusing dimensions above
+    /// `max_dim`, counting into a private registry.
     pub fn new(cache: Arc<RunCache>, max_dim: u32) -> Self {
-        Dispatcher::with_telemetry(cache, max_dim, &MetricsRegistry::new())
+        Dispatcher::with_sharded(cache, max_dim, &MetricsRegistry::new())
     }
 
-    /// [`Dispatcher::with_sharded`] over a single-shard wrap of `cache`
-    /// (the test-injection path: a caller-owned cache keeps its own
-    /// registry and runner).
-    pub fn with_telemetry(cache: Arc<RunCache>, max_dim: u32, registry: &MetricsRegistry) -> Self {
-        Dispatcher::with_sharded(
-            Arc::new(ShardedRunCache::from_caches(vec![cache])),
-            max_dim,
-            registry,
-        )
-    }
-
-    /// Build a dispatcher counting into `registry`. A disabled registry is
+    /// Build a dispatcher counting into `registry` (the name predates the
+    /// merge of the sharded cache into [`RunCache`] and stays for the
+    /// benchmark harness, which calls it). A disabled registry is
     /// replaced with a private enabled one: the request counters double as
     /// the `served()` accounting, which must work even when the daemon's
     /// exported telemetry is switched off. Also precomputes the
     /// `plan`/`predict` answer table for every strategy at `1..=max_dim`.
-    pub fn with_sharded(
-        cache: Arc<ShardedRunCache>,
-        max_dim: u32,
-        registry: &MetricsRegistry,
-    ) -> Self {
+    pub fn with_sharded(cache: Arc<RunCache>, max_dim: u32, registry: &MetricsRegistry) -> Self {
         let registry = if registry.is_enabled() {
             registry.clone()
         } else {
@@ -125,8 +115,8 @@ impl Dispatcher {
         }
     }
 
-    /// The shared (sharded) run cache.
-    pub fn cache(&self) -> &Arc<ShardedRunCache> {
+    /// The shared run cache.
+    pub fn cache(&self) -> &Arc<RunCache> {
         &self.cache
     }
 
@@ -270,13 +260,15 @@ impl Dispatcher {
             return Ok(cached.clone());
         }
         // Compute outside the lock; concurrent duplicates both run the
-        // (deterministic) reference and insert the same value.
+        // (deterministic) reference and insert the same value. A full memo
+        // answers without inserting, so the reply bytes are unchanged.
         let reference = resolved.reference(side, instance);
         self.scenario_misses.inc();
-        self.scenario_refs
-            .lock()
-            .expect("scenario cache lock")
-            .insert(key, reference.clone());
+        let capacity = self.cache.capacity();
+        let mut refs = self.scenario_refs.lock().expect("scenario cache lock");
+        if capacity.is_none_or(|cap| refs.len() < cap) {
+            refs.insert(key, reference.clone());
+        }
         Ok(reference)
     }
 
@@ -361,10 +353,9 @@ impl Dispatcher {
     /// ticks don't inflate `served.metrics`.
     pub fn export_reply(&self, uptime_ms: u64, enabled: bool) -> MetricsReply {
         let mut series = self.registry.snapshot();
-        for registry in self.cache.registries() {
-            if !self.registry.ptr_eq(registry) {
-                series.merge(&registry.snapshot());
-            }
+        let cache_registry = self.cache.registry();
+        if !self.registry.ptr_eq(cache_registry) {
+            series.merge(&cache_registry.snapshot());
         }
         MetricsReply {
             uptime_ms,
@@ -738,6 +729,28 @@ mod tests {
         let snap = d.registry().snapshot();
         assert_eq!(snap.counter("answers.table_bypass"), Some(1));
         assert_eq!(snap.counter("answers.table_hits"), Some(1));
+    }
+
+    /// Distinct `holes:<seed>` requests must not grow the scenario memo
+    /// past the run cache's capacity; a full memo still answers the same
+    /// bytes, and memoised keys keep hitting.
+    #[test]
+    fn scenario_memo_is_bounded_by_the_cache_capacity() {
+        let cache = RunCache::with_capacity_and_telemetry(1, Some(2), &MetricsRegistry::new());
+        let d = Dispatcher::new(Arc::new(cache), 20);
+        let plan = |seed| Request::ScenarioPlan {
+            scenario: ScenarioId::Grid,
+            side: 5,
+            instance: GridInstance::Holes(seed),
+        };
+        let replies: Vec<String> = (1..=3).map(|seed| d.handle(plan(seed)).to_line()).collect();
+        // The unmemoised key answers byte-identically on recomputation.
+        assert_eq!(d.handle(plan(3)).to_line(), replies[2]);
+        assert_eq!(d.handle(plan(1)).to_line(), replies[0]);
+        let snap = d.registry().snapshot();
+        assert_eq!(snap.counter("scenario.cache_hits"), Some(1));
+        assert_eq!(snap.counter("scenario.cache_misses"), Some(4));
+        assert_eq!(d.scenario_refs.lock().unwrap().len(), 2);
     }
 
     #[test]

@@ -22,13 +22,13 @@
 //! [`AnswerTable`]; `audit` dispatches onto the analysis crate's bounded
 //! [`WorkerPool`] (backpressure surfaces to clients as `busy` errors,
 //! never as unbounded queueing) and deduplicates through a hash-sharded
-//! [`ShardedRunCache`] with an LRU capacity bound, so the daemon stays in
+//! [`RunCache`] with an LRU capacity bound, so the daemon stays in
 //! bounded memory no matter how long it serves. Graceful shutdown (SIGINT
 //! or a `shutdown` request) drains in-flight work and emits a final stats
 //! line.
 //!
 //! [`WorkerPool`]: hypersweep_analysis::WorkerPool
-//! [`ShardedRunCache`]: hypersweep_analysis::ShardedRunCache
+//! [`RunCache`]: hypersweep_analysis::RunCache
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -36,7 +36,8 @@ pub struct ServerLimits {
     /// LRU bound on cached run outcomes (`None` = unbounded).
     pub cache_capacity: Option<usize>,
     /// Hash-partitioned run-cache shards ([`ServerLimits::cache_capacity`]
-    /// is split across them).
+    /// is split across them; a capacity below this count builds one shard
+    /// per entry instead).
     pub cache_shards: usize,
     /// Also listen on this Unix-domain socket path, served by the same
     /// reactor as the TCP listener. A stale socket file (no daemon

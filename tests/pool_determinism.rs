@@ -102,8 +102,9 @@ fn served_responses_are_byte_identical_across_client_counts() {
 }
 
 /// Serving-tier configuration must be invisible on the wire: any cache
-/// shard count and any pipeline depth produce the exact bytes the offline
-/// dispatcher computes over a fresh cache.
+/// shard count, a capacity below the shard count, and any pipeline depth
+/// produce the exact bytes the offline dispatcher computes over a fresh
+/// cache.
 #[test]
 fn responses_are_byte_identical_across_shard_counts_and_pipeline_depths() {
     let workload: Vec<Request> = standard_workload();
@@ -113,9 +114,15 @@ fn responses_are_byte_identical_across_shard_counts_and_pipeline_depths() {
         .map(|r| offline.handle(*r).to_line())
         .collect();
 
-    for shards in [1usize, 4] {
+    // (requested shards, capacity, effective shards): a capacity below the
+    // shard count builds one shard per entry.
+    let defaults = quick_limits().cache_capacity;
+    for (shards, capacity, effective) in
+        [(1usize, defaults, 1u64), (4, defaults, 4), (8, Some(3), 3)]
+    {
         let limits = hypersweep::server::ServerLimits {
             cache_shards: shards,
+            cache_capacity: capacity,
             ..quick_limits()
         };
         let (addr, shutdown, run) = spawn_bound_server(limits);
@@ -128,12 +135,12 @@ fn responses_are_byte_identical_across_shard_counts_and_pipeline_depths() {
             }
             assert_eq!(
                 served, expected,
-                "shards={shards} depth={depth} changed the wire bytes"
+                "shards={shards} capacity={capacity:?} depth={depth} changed the wire bytes"
             );
         }
         shutdown();
         let stats = run.join().expect("clean shutdown");
-        assert_eq!(stats.cache.shards, shards as u64);
+        assert_eq!(stats.cache.shards, effective);
         assert_eq!(stats.served.errors, 0);
     }
 }
